@@ -42,6 +42,7 @@ from repro.cloudsim.dynamics import (
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.core.decompose import decompose
 from repro.core.detectors import detector_names
+from repro.core.kernels import DEFAULT_SVD_BACKEND
 from repro.observability.benchrecord import bench_record, write_bench_json
 from repro.runtime.session import TraceSession
 
@@ -264,7 +265,7 @@ def test_emit_bench_json(matrix, emit):
     record = bench_record(
         "regime_detection_quality",
         seeds=SEEDS,
-        backend="exact",  # detector sessions run the default exact kernel
+        backend=DEFAULT_SVD_BACKEND,  # detector sessions run the default kernel
         matrix={
             "detectors": list(detector_names()),
             "scenarios": ["step", "drift", "burst"],

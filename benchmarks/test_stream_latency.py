@@ -33,6 +33,7 @@ import pytest
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.core.decompose import decompose
 from repro.core.engine import DecompositionEngine
+from repro.core.kernels import DEFAULT_SVD_BACKEND
 from repro.observability import Instrumentation
 from repro.observability.benchrecord import bench_record, write_bench_json
 
@@ -125,7 +126,7 @@ def test_stream_fold_latency_and_emit(trace_196, emit):
     record = bench_record(
         "stream_fold_latency_196_instances",
         seeds=[SEED],
-        backend="exact",
+        backend=DEFAULT_SVD_BACKEND,  # the batch baseline runs the default kernel
         matrix_shape=[WINDOW, N_INSTANCES * N_INSTANCES],
         slides=len(slide_times),
         folds=folds,

@@ -38,7 +38,7 @@ from .cloudsim.trace import CalibrationTrace
 from .core.decompose import Decomposition, decompose
 from .core.detectors import validate_regime_detector
 from .core.elementwise import check_ew_svd_compatible, validate_ew_backend
-from .core.kernels import validate_backend
+from .core.kernels import DEFAULT_SVD_BACKEND, validate_backend
 from .core.streaming import StreamingConfig, validate_mode
 from .errors import ValidationError
 from .fleet import (
@@ -86,7 +86,7 @@ class SolveConfig:
     window: int | None = None
     solver: str = "apg"
     extraction: str = "mean"
-    svd_backend: str = "exact"
+    svd_backend: str = DEFAULT_SVD_BACKEND
     elementwise_backend: str = "reference"
 
     def __post_init__(self) -> None:
@@ -123,7 +123,7 @@ class SessionConfig:
     consecutive: int = 1
     solver: str = "apg"
     warm_start: bool = True
-    svd_backend: str = "exact"
+    svd_backend: str = DEFAULT_SVD_BACKEND
     elementwise_backend: str = "reference"
     mode: str = "batch"
     stream_tolerance: float | None = None
@@ -215,15 +215,14 @@ def solve(
     cfg = _resolve(SolveConfig, config, overrides)
     count = None if cfg.window is None else int(cfg.window)
     tp = trace.tp_matrix(cfg.nbytes, start=0, count=count)
-    # "exact" stays None so non-SVT solvers (pca, row_constant) keep working.
-    backend = None if cfg.svd_backend == "exact" else cfg.svd_backend
-    # "reference" likewise stays None for the same reason.
+    # "reference" stays None so non-SVT solvers (pca, row_constant) keep
+    # working; decompose() drops a non-request SVD backend for them itself.
     ew = None if cfg.elementwise_backend == "reference" else cfg.elementwise_backend
     return decompose(
         tp,
         solver=cfg.solver,
         extraction=cfg.extraction,
-        svd_backend=backend,
+        svd_backend=cfg.svd_backend,
         elementwise_backend=ew,
     )
 

@@ -38,6 +38,7 @@ import argparse
 import sys
 from collections.abc import Sequence
 
+from .core.kernels import DEFAULT_SVD_BACKEND, SVD_BACKENDS
 from .errors import ReproError
 
 __all__ = ["main", "build_parser"]
@@ -72,10 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decompose", help="RPCA-decompose a trace")
     dec.add_argument("trace", help="trace .npz path")
     dec.add_argument("--solver", default="apg")
-    dec.add_argument("--svd-backend", default="exact",
-                     choices=["exact", "gram", "randomized", "auto"],
+    dec.add_argument("--svd-backend", default=DEFAULT_SVD_BACKEND,
+                     choices=SVD_BACKENDS,
                      help="SVD kernel for the solver's thresholding "
-                          "(default exact — the bit-identical full SVD)")
+                          f"(default {DEFAULT_SVD_BACKEND}; exact is the "
+                          "bit-pinned historical full SVD)")
     dec.add_argument("--elementwise-backend", default="reference",
                      choices=["reference", "fused", "jit"],
                      help="elementwise kernel for the solver's step "
@@ -111,10 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--threshold", type=float, default=1.0)
     rep.add_argument("--consecutive", type=int, default=1)
     rep.add_argument("--solver", default="apg")
-    rep.add_argument("--svd-backend", default="exact",
-                     choices=["exact", "gram", "randomized", "auto"],
+    rep.add_argument("--svd-backend", default=DEFAULT_SVD_BACKEND,
+                     choices=SVD_BACKENDS,
                      help="SVD kernel for re-calibration solves "
-                          "(default exact — the bit-identical full SVD)")
+                          f"(default {DEFAULT_SVD_BACKEND}; exact is the "
+                          "bit-pinned historical full SVD)")
     rep.add_argument("--elementwise-backend", default="reference",
                      choices=["reference", "fused", "jit"],
                      help="elementwise kernel for re-calibration step "
@@ -211,10 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="calibration window length")
     flt.add_argument("--threshold", type=float, default=1.0)
     flt.add_argument("--solver", default="apg")
-    flt.add_argument("--svd-backend", default="exact",
-                     choices=["exact", "gram", "randomized", "auto"],
+    flt.add_argument("--svd-backend", default=DEFAULT_SVD_BACKEND,
+                     choices=SVD_BACKENDS,
                      help="SVD kernel for every cluster's solver "
-                          "(default exact — the bit-identical full SVD)")
+                          f"(default {DEFAULT_SVD_BACKEND}; exact is the "
+                          "bit-pinned historical full SVD)")
     flt.add_argument("--elementwise-backend", default="reference",
                      choices=["reference", "fused", "jit"],
                      help="elementwise kernel for every cluster's step "
@@ -347,10 +351,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     trace = _load_any_trace(args.trace)
     count = min(args.time_step, trace.n_snapshots)
     tp = trace.tp_matrix(args.message_mb * MB, start=0, count=count)
-    backend = None if args.svd_backend == "exact" else args.svd_backend
     ew = (None if args.elementwise_backend == "reference"
           else args.elementwise_backend)
-    dec = decompose(tp, solver=args.solver, svd_backend=backend,
+    dec = decompose(tp, solver=args.solver, svd_backend=args.svd_backend,
                     elementwise_backend=ew)
     print(f"solver:     {dec.solver} ({dec.solver_iterations} iterations, "
           f"converged={dec.solver_converged})")

@@ -54,7 +54,13 @@ from .elementwise import (
     check_ew_svd_compatible,
     validate_ew_backend,
 )
-from .kernels import RankPredictor, SolveWorkspace, SVTKernel, validate_backend
+from .kernels import (
+    DEFAULT_SVD_BACKEND,
+    RankPredictor,
+    SolveWorkspace,
+    SVTKernel,
+    validate_backend,
+)
 from .result import SolverResult
 from .svd_ops import (
     singular_value_threshold,
@@ -132,7 +138,7 @@ def rpca_apg(
     warm_start: object | None = None,
     warm_mu_factor: float = 0.1,
     mask: np.ndarray | None = None,
-    svd_backend: str = "exact",
+    svd_backend: str = DEFAULT_SVD_BACKEND,
     elementwise_backend: str = "reference",
     rank_predictor: RankPredictor | None = None,
 ) -> SolverResult:
@@ -173,12 +179,14 @@ def rpca_apg(
         the warm split drift further from the cold one; must be in (0, 1).
     svd_backend:
         SVD backend under the singular value thresholding (see
-        :mod:`repro.core.kernels`). ``"exact"`` (default) is the historical
-        full-``gesdd`` path, bit-identical to previous releases. The
-        partial backends (``"gram"``, ``"randomized"``, ``"auto"``) also
-        switch the iteration loop to a preallocated workspace and replace
-        the init-time full SVD with a spectral-norm computation; results
-        agree with ``"exact"`` to solver tolerance, not bit-for-bit.
+        :mod:`repro.core.kernels`). ``"auto"`` (the default,
+        :data:`~repro.core.kernels.DEFAULT_SVD_BACKEND`) and the other
+        partial backends (``"gram"``, ``"randomized"``) run the iteration
+        loop on a preallocated workspace and replace the init-time full SVD
+        with a spectral-norm computation; results agree with ``"exact"`` to
+        solver tolerance, not bit-for-bit. ``"exact"`` is the historical
+        full-``gesdd`` loop, bit-identical to releases before ``auto``
+        became the default — the named oracle.
     elementwise_backend:
         Elementwise kernel for the non-SVD parts of each iteration (see
         :mod:`repro.core.elementwise`). ``"reference"`` (default) is the
@@ -351,7 +359,8 @@ def _rpca_apg_fast(
 
     The reordered floating-point arithmetic makes results agree with the
     exact path to solver tolerance (≈ ``tol`` on the relative residual),
-    not bit-for-bit — which is why this path is opt-in via *svd_backend*.
+    not bit-for-bit — which is why ``svd_backend="exact"`` keeps the old
+    loop as the named oracle.
     """
     kernel = SVTKernel(A.shape, svd_backend, rank_predictor=rank_predictor)
     ew = ElementwiseKernel(elementwise_backend)

@@ -21,10 +21,11 @@ from typing import Any
 import numpy as np
 
 from ..errors import ValidationError
+from .kernels import DEFAULT_SVD_BACKEND, validate_backend
 from .matrices import PerformanceMatrix, TCMatrix, TEMatrix, TPMatrix
 from .metrics import StabilityReport, stability_report
 from .result import SolverResult
-from .solvers import solve_rpca, solver_spec
+from .solvers import SolverSpec, solve_rpca, solver_spec
 from .svd_ops import truncated_svd
 
 __all__ = [
@@ -32,7 +33,30 @@ __all__ = [
     "decompose",
     "decomposition_from_result",
     "constant_row",
+    "svd_backend_kwargs",
 ]
+
+
+def svd_backend_kwargs(spec: SolverSpec, backend: str) -> dict[str, str]:
+    """The ``svd_backend`` keyword to pass *spec*'s solver, if any.
+
+    A solver that declares ``svd_backend`` always gets the chosen name,
+    ``"exact"`` included, so asking for the oracle never silently runs the
+    solver's own default. Other solvers (``pca``, ``row_constant``,
+    user-registered ones that do not name it) get nothing for ``"exact"``
+    or ``"auto"`` — neither asks them for anything — so default configs
+    keep working with them; an explicit partial backend
+    (``"gram"``/``"randomized"``) is rejected for them.
+    """
+    validate_backend(backend)
+    if "svd_backend" in spec.accepted_kwargs:
+        return {"svd_backend": backend}
+    if backend in ("exact", "auto"):
+        return {}
+    raise ValidationError(
+        f"solver {spec.name!r} does not take an SVD backend; "
+        "only SVT-based solvers such as 'apg' or 'ialm' do"
+    )
 
 
 def constant_row(low_rank: np.ndarray, *, method: str = "mean") -> np.ndarray:
@@ -101,7 +125,7 @@ def decompose(
     *,
     solver: str = "apg",
     extraction: str = "mean",
-    svd_backend: str | None = None,
+    svd_backend: str = DEFAULT_SVD_BACKEND,
     elementwise_backend: str | None = None,
     **solver_kwargs: Any,
 ) -> Decomposition:
@@ -122,9 +146,11 @@ def decompose(
         the ``row_constant`` solver, whose output is exactly row-constant.
     svd_backend:
         SVD kernel for the per-iteration thresholding — one of
-        :data:`repro.core.kernels.SVD_BACKENDS`. Only meaningful for solvers
-        built on singular value thresholding (APG/IALM); ``None`` (default)
-        leaves the solver on its own default (``"exact"``).
+        :data:`repro.core.kernels.SVD_BACKENDS`, default
+        :data:`~repro.core.kernels.DEFAULT_SVD_BACKEND` (``"auto"``); pass
+        ``"exact"`` for the bit-pinned historical loop. Only meaningful for
+        solvers built on singular value thresholding (APG/IALM); see
+        :func:`svd_backend_kwargs` for what other solvers receive.
     elementwise_backend:
         Elementwise kernel for the solver's step recurrences — one of
         :data:`repro.core.elementwise.EW_BACKENDS`. Only meaningful for
@@ -134,14 +160,9 @@ def decompose(
     **solver_kwargs:
         Forwarded to the solver.
     """
-    if svd_backend is not None:
-        spec = solver_spec(solver)
-        if not spec.accepts_any_kwargs and "svd_backend" not in spec.accepted_kwargs:
-            raise ValidationError(
-                f"solver {solver!r} does not take an SVD backend; "
-                "only SVT-based solvers such as 'apg' or 'ialm' do"
-            )
-        solver_kwargs = dict(solver_kwargs, svd_backend=svd_backend)
+    solver_kwargs = dict(
+        solver_kwargs, **svd_backend_kwargs(solver_spec(solver), svd_backend)
+    )
     if elementwise_backend is not None:
         spec = solver_spec(solver)
         if not spec.accepts_any_kwargs and (

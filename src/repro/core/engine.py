@@ -37,12 +37,17 @@ from .._validation import check_nonnegative, check_probability
 from ..errors import CalibrationError, ValidationError
 from ..observability import Instrumentation, instrumented
 from .batch import BatchedSolveWorkspace, solve_rpca_batch, validate_batch_dtype
-from .decompose import Decomposition, decompose, decomposition_from_result
+from .decompose import (
+    Decomposition,
+    decompose,
+    decomposition_from_result,
+    svd_backend_kwargs,
+)
 from .elementwise import (
     check_ew_svd_compatible,
     ensure_ew_backend_available,
 )
-from .kernels import BatchRankPredictor, RankPredictor, validate_backend
+from .kernels import DEFAULT_SVD_BACKEND, BatchRankPredictor, RankPredictor
 from .matrices import TPMatrix
 from .solvers import solver_spec
 from .streaming import (
@@ -188,13 +193,16 @@ class DecompositionEngine:
         solver supports it. Disable for bitwise cold-path reproduction.
     svd_backend:
         SVD kernel for the solver's singular value thresholding — one of
-        :data:`repro.core.kernels.SVD_BACKENDS` (default ``"exact"``, the
-        historical bit-identical path). With a partial backend the engine
+        :data:`repro.core.kernels.SVD_BACKENDS` (default ``"auto"``,
+        :data:`~repro.core.kernels.DEFAULT_SVD_BACKEND`; ``"exact"`` is the
+        historical bit-identical loop). With a partial backend the engine
         additionally keeps one
         :class:`~repro.core.kernels.RankPredictor` per solved shape and
         threads it through successive solves, so warm re-calibrations skip
-        the rank ramp-up. Requires a solver that takes ``svd_backend``
-        (APG/IALM).
+        the rank ramp-up. Forwarded by name to every solver that takes
+        ``svd_backend`` (APG/IALM); other solvers accept only ``"exact"``
+        and ``"auto"`` and never receive it (see
+        :func:`~repro.core.decompose.svd_backend_kwargs`).
     elementwise_backend:
         Elementwise kernel for the solver's step recurrences and the
         streaming fold's shrinkage — one of
@@ -246,7 +254,7 @@ class DecompositionEngine:
         solver: str = "apg",
         extraction: str = "mean",
         warm_start: bool = True,
-        svd_backend: str = "exact",
+        svd_backend: str = DEFAULT_SVD_BACKEND,
         elementwise_backend: str = "reference",
         mode: str = "batch",
         stream_tolerance: float | None = None,
@@ -272,14 +280,8 @@ class DecompositionEngine:
         self.spec.validate_kwargs(solver_kwargs)
         self.extraction = extraction
         self.warm_start = bool(warm_start)
-        self.svd_backend = validate_backend(svd_backend)
-        if svd_backend != "exact" and not (
-            self.spec.accepts_any_kwargs or "svd_backend" in self.spec.accepted_kwargs
-        ):
-            raise ValidationError(
-                f"solver {solver!r} does not take an SVD backend; "
-                "only SVT-based solvers such as 'apg' or 'ialm' do"
-            )
+        self._svd_kwargs = svd_backend_kwargs(self.spec, svd_backend)
+        self.svd_backend = svd_backend
         self.elementwise_backend = ensure_ew_backend_available(elementwise_backend)
         # A solver that cannot take the knob at all beats the exact-conflict
         # message — it is the more actionable error of the two.
@@ -529,8 +531,8 @@ class DecompositionEngine:
         )
         if warm:
             kwargs["warm_start"] = seed
-        if self.svd_backend != "exact":
-            kwargs["svd_backend"] = self.svd_backend
+        kwargs.update(self._svd_kwargs)
+        if self._svd_kwargs and self.svd_backend != "exact":
             min_dim = min(tp.data.shape)
             predictor = self._predictors.get(min_dim)
             if predictor is None:

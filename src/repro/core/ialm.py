@@ -50,7 +50,13 @@ from .elementwise import (
     check_ew_svd_compatible,
     validate_ew_backend,
 )
-from .kernels import RankPredictor, SolveWorkspace, SVTKernel, validate_backend
+from .kernels import (
+    DEFAULT_SVD_BACKEND,
+    RankPredictor,
+    SolveWorkspace,
+    SVTKernel,
+    validate_backend,
+)
 from .result import SolverResult
 from .svd_ops import (
     singular_value_threshold,
@@ -75,7 +81,7 @@ def rpca_ialm(
     warm_start: object | None = None,
     warm_mu_steps: float = 8.0,
     mask: np.ndarray | None = None,
-    svd_backend: str = "exact",
+    svd_backend: str = DEFAULT_SVD_BACKEND,
     elementwise_backend: str = "reference",
     rank_predictor: RankPredictor | None = None,
 ) -> SolverResult:
@@ -110,11 +116,13 @@ def rpca_ialm(
         drift further from the cold one; 0 keeps the cold ramp.
     svd_backend:
         SVD kernel used for the per-iteration singular value thresholding —
-        one of :data:`repro.core.kernels.SVD_BACKENDS`. ``"exact"`` (the
-        default) is the historical full-``gesdd`` path, bit for bit; the
-        other backends route through :class:`~repro.core.kernels.SVTKernel`
-        (partial SVD + preallocated workspace) and agree to solver
-        tolerance rather than bitwise.
+        one of :data:`repro.core.kernels.SVD_BACKENDS`. ``"auto"`` (the
+        default, :data:`~repro.core.kernels.DEFAULT_SVD_BACKEND`) and the
+        other partial backends route through
+        :class:`~repro.core.kernels.SVTKernel` (partial SVD + preallocated
+        workspace) and agree with ``"exact"`` to solver tolerance rather
+        than bitwise; ``"exact"`` is the historical full-``gesdd`` loop,
+        bit for bit — the named oracle.
     elementwise_backend:
         Elementwise kernel for the non-SVD parts of each iteration — one
         of :data:`repro.core.elementwise.EW_BACKENDS`. ``"reference"``
@@ -261,8 +269,8 @@ def _rpca_ialm_fast(
       and ``jit`` backends cut the remaining full-array passes.
 
     The reordered floating-point arithmetic agrees with the exact path to
-    solver tolerance, not bit-for-bit — which is why this path is opt-in
-    via *svd_backend*.
+    solver tolerance, not bit-for-bit — which is why
+    ``svd_backend="exact"`` keeps the old loop as the named oracle.
     """
     kernel = SVTKernel(A.shape, svd_backend, rank_predictor=rank_predictor)
     ew = ElementwiseKernel(elementwise_backend)

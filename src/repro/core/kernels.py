@@ -8,7 +8,9 @@ LAPACK ``gesdd`` thin SVD every iteration. This module makes the SVD under
 
 ``exact``
     The historical ``gesdd``/``gesvd`` path, bit-identical to
-    :func:`~repro.core.svd_ops.singular_value_threshold`. The default.
+    :func:`~repro.core.svd_ops.singular_value_threshold`. Kept as the named
+    bit-pinned oracle: select it to reproduce pre-``auto`` results bit for
+    bit.
 ``gram``
     Exploits the extreme aspect ratio of TP-matrices (``m ≈ 10`` rows vs
     ``n ≈ 38416`` columns): eigendecompose the tiny ``A·Aᵀ`` Gram matrix
@@ -24,7 +26,10 @@ LAPACK ``gesdd`` thin SVD every iteration. This module makes the SVD under
 ``auto``
     Picks per call: ``gram`` when the short side is small enough that the
     Gram eigendecomposition is trivial, ``randomized`` when the predicted
-    rank is far below the short side, ``exact`` otherwise.
+    rank is far below the short side, ``exact`` otherwise. The default
+    (:data:`DEFAULT_SVD_BACKEND`): a TP-matrix's short side is the
+    calibration window (10 by default), so it runs ``gram`` unless a window
+    exceeds 64.
 
 Rank prediction follows the partial-SVD heuristic of the reference IALM
 implementation (Lin, Chen & Ma 2010): start at ``min(10, m)``, then
@@ -62,6 +67,7 @@ from .svd_ops import singular_value_threshold, truncated_svd
 
 __all__ = [
     "SVD_BACKENDS",
+    "DEFAULT_SVD_BACKEND",
     "RankPredictor",
     "BatchRankPredictor",
     "SVTKernel",
@@ -71,6 +77,10 @@ __all__ = [
 ]
 
 SVD_BACKENDS = ("exact", "gram", "randomized", "auto")
+
+# The one place the default SVD backend is set: every solver, config, engine,
+# session, fleet and CLI default reads it. ``exact`` stays selectable by name.
+DEFAULT_SVD_BACKEND = "auto"
 
 # `auto` policy thresholds. The Gram trick is preferred whenever the short
 # side is small enough that an m×m eigendecomposition is trivially cheap
@@ -281,7 +291,7 @@ class SVTKernel:
     def __init__(
         self,
         shape: tuple[int, int],
-        backend: str = "auto",
+        backend: str = DEFAULT_SVD_BACKEND,
         *,
         rank_predictor: RankPredictor | None = None,
         oversample: int = 8,

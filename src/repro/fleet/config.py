@@ -19,7 +19,7 @@ from ..cloudsim.trace import CalibrationTrace
 from ..core.batch import validate_batch_dtype
 from ..core.detectors import validate_regime_detector
 from ..core.elementwise import validate_ew_backend
-from ..core.kernels import validate_backend
+from ..core.kernels import DEFAULT_SVD_BACKEND, validate_backend
 from ..core.streaming import StreamingConfig, validate_mode
 from ..errors import ValidationError
 
@@ -90,9 +90,12 @@ class FleetConfig:
         Warm-start re-calibration solves (per cluster).
     svd_backend:
         SVD kernel for every cluster's solver — one of
-        :data:`repro.core.kernels.SVD_BACKENDS` (default ``"exact"``).
-        Partial backends carry their rank-prediction state inside each
-        session capsule, so it survives worker migration.
+        :data:`repro.core.kernels.SVD_BACKENDS` (default ``"auto"``,
+        :data:`~repro.core.kernels.DEFAULT_SVD_BACKEND`; ``"exact"`` is the
+        historical bit-pinned loop). Partial backends carry their
+        rank-prediction state inside each session capsule, so it survives
+        worker migration; the capsule also records the backend, so a
+        cluster never changes loops mid-run.
     elementwise_backend:
         Elementwise kernel for every cluster's step recurrences — one of
         :data:`repro.core.EW_BACKENDS` (default ``"reference"``). Sessions
@@ -191,7 +194,7 @@ class FleetConfig:
     nbytes: float = 8.0 * _MB
     solver: str = "apg"
     warm_start: bool = True
-    svd_backend: str = "exact"
+    svd_backend: str = DEFAULT_SVD_BACKEND
     elementwise_backend: str = "reference"
     mode: str = "batch"
     stream_tolerance: float | None = None

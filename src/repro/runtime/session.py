@@ -66,6 +66,7 @@ from ..core.maintenance import (
     MaintenanceDecision,
     ResilienceConfig,
 )
+from ..core.kernels import DEFAULT_SVD_BACKEND
 from ..core.solvers import solver_spec
 from ..core.streaming import stream_state_from_payload, validate_mode
 from ..errors import (
@@ -241,10 +242,13 @@ class TraceSession:
         Disable to reproduce the historical cold-solve path bit for bit.
     svd_backend:
         SVD kernel for the solver's singular value thresholding — one of
-        :data:`repro.core.kernels.SVD_BACKENDS` (default ``"exact"``, the
-        historical bit-identical path). Forwarded to the session's
-        :class:`~repro.core.engine.DecompositionEngine`, which keeps the
-        adaptive rank-prediction state across re-calibrations.
+        :data:`repro.core.kernels.SVD_BACKENDS` (default ``"auto"``,
+        :data:`~repro.core.kernels.DEFAULT_SVD_BACKEND`; ``"exact"``
+        reproduces the historical loop bit for bit). Forwarded to the
+        session's :class:`~repro.core.engine.DecompositionEngine`, which
+        keeps the adaptive rank-prediction state across re-calibrations.
+        Checkpoints and capsules record it, so a resumed session stays on
+        the loop that wrote its state.
     elementwise_backend:
         Elementwise kernel for the solver's step recurrences — one of
         :data:`repro.core.elementwise.EW_BACKENDS` (default ``"reference"``,
@@ -325,7 +329,7 @@ class TraceSession:
         solver: str = "apg",
         calibration_cost: float | None = None,
         warm_start: bool = True,
-        svd_backend: str = "exact",
+        svd_backend: str = DEFAULT_SVD_BACKEND,
         elementwise_backend: str = "reference",
         mode: str = "batch",
         stream_tolerance: float | None = None,
@@ -1101,7 +1105,9 @@ class TraceSession:
         self.nbytes = float(cfg["nbytes"])
         self.time_step = int(cfg["time_step"])
         self.solver = cfg["solver"]
-        # Checkpoints from releases before the kernel layer lack the key.
+        # Checkpoints from releases before the kernel layer lack the key;
+        # they were written by the exact loop and must resume on it, not on
+        # today's default.
         self.svd_backend = cfg.get("svd_backend", "exact")
         # Checkpoints from before the elementwise layer lack this one too.
         self.elementwise_backend = cfg.get("elementwise_backend", "reference")

@@ -70,9 +70,36 @@ class TestCommands:
         self, trace_file, capsys
     ):
         code = main(["decompose", trace_file, "--solver", "pca",
-                     "--svd-backend", "auto"])
+                     "--svd-backend", "gram"])
         assert code == 1
         assert "does not take an SVD backend" in capsys.readouterr().err
+
+    def test_decompose_svd_backend_exact_is_the_oracle(
+        self, trace_file, monkeypatch
+    ):
+        """``--svd-backend exact`` reaches the solver by name: the result is
+        bit-identical to ``rpca_apg(a, svd_backend="exact")``."""
+        import importlib
+
+        from repro.core.apg import rpca_apg
+
+        # ``repro.core.decompose`` the attribute is the function, not the module.
+        decompose_mod = importlib.import_module("repro.core.decompose")
+
+        seen = []
+        real = decompose_mod.decompose
+
+        def spy(tp, **kwargs):
+            seen.append((tp, real(tp, **kwargs)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(decompose_mod, "decompose", spy)
+        assert main(["decompose", trace_file, "--svd-backend", "exact"]) == 0
+        (tp, dec), = seen
+        ref = rpca_apg(tp.data, svd_backend="exact")
+        np.testing.assert_array_equal(dec.solver_result.low_rank, ref.low_rank)
+        np.testing.assert_array_equal(dec.solver_result.sparse, ref.sparse)
+        assert dec.solver_result.iterations == ref.iterations
 
     def test_compare(self, trace_file, capsys):
         assert main(["compare", trace_file, "--repetitions", "8",

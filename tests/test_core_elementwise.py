@@ -128,7 +128,7 @@ class TestValidation:
         a = _rpca_problem()
         for solver in SOLVERS.values():
             with pytest.raises(ValidationError, match="non-exact SVD backend"):
-                solver(a, elementwise_backend="fused")
+                solver(a, svd_backend="exact", elementwise_backend="fused")
 
     def test_engine_rejects_non_svt_solver(self):
         with pytest.raises(ValidationError, match="elementwise backend"):
@@ -140,7 +140,8 @@ class TestValidation:
     def test_engine_rejects_exact_conflict(self):
         with pytest.raises(ValidationError, match="non-exact SVD backend"):
             DecompositionEngine(
-                _FakeSource(), nbytes=8.0, elementwise_backend="fused"
+                _FakeSource(), nbytes=8.0, svd_backend="exact",
+                elementwise_backend="fused",
             )
 
     def test_engine_calibrations_bit_identical(self):

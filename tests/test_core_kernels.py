@@ -2,10 +2,10 @@
 
 Three classes of guarantee are pinned here:
 
-* **Bit identity of the default** — ``svd_backend="exact"`` takes the
-  historical code path untouched, so cold solves reproduce the pre-kernel
-  outputs bit for bit (the solver-level tests compare against calls that
-  never mention a backend).
+* **Bit identity of the oracle** — ``svd_backend="exact"`` takes the
+  historical code path untouched (full-``gesdd`` thresholding, no kernel
+  layer), so it reproduces the pre-``auto`` default outputs bit for bit,
+  and every layer forwards the name instead of dropping it.
 * **Parity of the partial backends** — ``gram``/``randomized``/``auto``
   re-order floating point and compute fewer triplets, but the thresholded
   rank is exact by construction (no undershoot) and solver outputs agree
@@ -17,6 +17,8 @@ Three classes of guarantee are pinned here:
   assertions, not timing assertions.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,13 +29,16 @@ from repro.core.decompose import decompose
 from repro.core.engine import DecompositionEngine
 from repro.core.ialm import rpca_ialm
 from repro.core.kernels import (
+    DEFAULT_SVD_BACKEND,
     SVD_BACKENDS,
     RankPredictor,
     SolveWorkspace,
     SVTKernel,
     validate_backend,
 )
+from repro.core import solvers
 from repro.core.matrices import TPMatrix
+from repro.core.row_constant import row_constant_decomposition
 from repro.core.svd_ops import (
     singular_value_threshold,
     soft_threshold,
@@ -294,16 +299,40 @@ def test_workspace_counts_allocations():
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
-def test_exact_backend_is_bit_identical_to_default(solver):
-    """``svd_backend="exact"`` must be the historical path, bit for bit."""
+def test_exact_backend_is_bit_identical_to_default(solver, monkeypatch):
+    """``svd_backend="exact"`` must be the historical default path, bit for bit.
+
+    That path thresholds every iterate with the full-``gesdd``
+    :func:`~repro.core.svd_ops.singular_value_threshold` and never enters
+    the kernel layer. The default is ``auto`` now, so the oracle is the
+    named backend: it must still route every SVT through that primitive
+    (and nothing else), while the default must not.
+    """
     a = _rpca_problem(seed=10)
     fn = SOLVERS[solver]
-    ref = fn(a)
-    res = fn(a, svd_backend="exact")
+    ref = fn(a, svd_backend="exact")
+    calls = []
+
+    def spy(m, tau):
+        calls.append(tau)
+        return singular_value_threshold(m, tau)
+
+    monkeypatch.setattr(sys.modules[fn.__module__], "singular_value_threshold", spy)
+    instr = Instrumentation("t")
+    with instrumented(instr):
+        res = fn(a, svd_backend="exact")
     np.testing.assert_array_equal(res.low_rank, ref.low_rank)
     np.testing.assert_array_equal(res.sparse, ref.sparse)
     assert res.iterations == ref.iterations
     assert res.residual == ref.residual
+    assert len(calls) == res.iterations
+    assert not [k for k in instr.counters if k.startswith("kernel.")]
+
+    calls.clear()
+    default = fn(a)
+    assert DEFAULT_SVD_BACKEND == "auto"
+    assert calls == []
+    assert default.iterations == ref.iterations
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -313,7 +342,7 @@ def test_partial_backends_match_exact_solves(solver, backend, masked):
     a = _rpca_problem(seed=11)
     fn = SOLVERS[solver]
     kwargs = {"mask": _mask(a.shape)} if masked else {}
-    ref = fn(a, **kwargs)
+    ref = fn(a, svd_backend="exact", **kwargs)
     res = fn(a, svd_backend=backend, **kwargs)
     assert res.converged == ref.converged
     assert res.iterations == ref.iterations
@@ -327,9 +356,9 @@ def test_partial_backends_match_exact_solves(solver, backend, masked):
 def test_partial_backend_warm_start_matches_exact_warm_start(solver):
     a = _rpca_problem(seed=12)
     fn = SOLVERS[solver]
-    seed = fn(a)
+    seed = fn(a, svd_backend="exact")
     b = a + 0.01 * np.outer(np.ones(a.shape[0]), np.random.default_rng(1).standard_normal(a.shape[1]))
-    ref = fn(b, warm_start=seed)
+    ref = fn(b, warm_start=seed, svd_backend="exact")
     res = fn(b, warm_start=seed, svd_backend="auto")
     assert res.warm_started and ref.warm_started
     assert res.iterations == ref.iterations
@@ -401,7 +430,7 @@ def _tp(seed=16, m=10, n_machines=14):
 
 def test_decompose_accepts_svd_backend():
     tp = _tp()
-    ref = decompose(tp, solver="apg")
+    ref = decompose(tp, solver="apg", svd_backend="exact")
     dec = decompose(tp, solver="apg", svd_backend="auto")
     np.testing.assert_allclose(
         dec.constant.row, ref.constant.row, rtol=0, atol=1e-8 * abs(ref.constant.row).max()
@@ -412,14 +441,49 @@ def test_decompose_accepts_svd_backend():
 def test_decompose_rejects_backend_for_non_svt_solver():
     tp = _tp()
     with pytest.raises(ValidationError, match="does not take an SVD backend"):
-        decompose(tp, solver="pca", svd_backend="auto")
+        decompose(tp, solver="pca", svd_backend="gram")
 
 
 def test_engine_rejects_backend_for_non_svt_solver():
     with pytest.raises(ValidationError, match="does not take an SVD backend"):
         DecompositionEngine(
-            _FakeSource(), nbytes=8.0, solver="pca", svd_backend="auto"
+            _FakeSource(), nbytes=8.0, solver="pca", svd_backend="gram"
         )
+
+
+@pytest.mark.parametrize("backend", ["exact", "auto"])
+@pytest.mark.parametrize("solver", ["pca", "row_constant"])
+def test_non_svt_solver_runs_under_exact_and_auto(solver, backend):
+    """Neither name asks a non-SVT solver for anything, so nothing is
+    forwarded (its strict kwarg validation would raise otherwise) and the
+    default configs keep working with it."""
+    tp = _tp()
+    ref = decompose(tp, solver=solver)
+    dec = decompose(tp, solver=solver, svd_backend=backend)
+    np.testing.assert_array_equal(dec.constant.row, ref.constant.row)
+    engine = DecompositionEngine(
+        _FakeSource(), nbytes=8.0, solver=solver, svd_backend=backend
+    )
+    engine.calibrate(10)
+
+
+def test_user_solver_without_the_kwarg_never_receives_it(monkeypatch):
+    seen = []
+
+    def fake(a, **kwargs):
+        seen.append("svd_backend" in kwargs)
+        return row_constant_decomposition(a)
+
+    monkeypatch.setattr(solvers, "_SOLVERS", dict(solvers._SOLVERS))
+    solvers.register_solver("kwargs_only", fake, exact_row_constant=True)
+    tp = _tp()
+    decompose(tp, solver="kwargs_only")
+    for backend in ("exact", "auto"):
+        decompose(tp, solver="kwargs_only", svd_backend=backend)
+    DecompositionEngine(_FakeSource(), nbytes=8.0, solver="kwargs_only").calibrate(10)
+    assert seen == [False] * 4
+    with pytest.raises(ValidationError, match="does not take an SVD backend"):
+        decompose(tp, solver="kwargs_only", svd_backend="gram")
 
 
 class _FakeSource:
@@ -476,10 +540,20 @@ def test_engine_warm_state_round_trips_predictors():
 
 
 def test_engine_exact_backend_solves_unchanged():
-    ref_engine = DecompositionEngine(_FakeSource(), nbytes=8.0, time_step=10)
+    """An ``exact`` engine forwards the name: cold and warm solves are the
+    historical loop's, bit for bit."""
+    source = _FakeSource()
     exact_engine = DecompositionEngine(
-        _FakeSource(), nbytes=8.0, time_step=10, svd_backend="exact"
+        source, nbytes=8.0, time_step=10, svd_backend="exact"
     )
-    ref = ref_engine.calibrate(10)
-    res = exact_engine.calibrate(10)
-    np.testing.assert_array_equal(res.constant.row, ref.constant.row)
+    cold = exact_engine.calibrate(10)
+    warm = exact_engine.calibrate(12)
+    ref_cold = rpca_apg(np.stack(source._rows[0:10]), svd_backend="exact")
+    ref_warm = rpca_apg(
+        np.stack(source._rows[2:12]), warm_start=ref_cold, svd_backend="exact"
+    )
+    assert warm.solver_result.warm_started
+    for res, ref in ((cold, ref_cold), (warm, ref_warm)):
+        np.testing.assert_array_equal(res.solver_result.low_rank, ref.low_rank)
+        np.testing.assert_array_equal(res.solver_result.sparse, ref.sparse)
+        assert res.solver_result.iterations == ref.iterations

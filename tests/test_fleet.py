@@ -151,6 +151,32 @@ class TestParity:
                 session.decomposition.constant.row,
             )
 
+    def test_exact_fleet_stays_on_exact_loop(self, tmp_path):
+        # The named oracle survives the worker path: the first batch gets it
+        # through the session kwargs, later ones through the capsule, and the
+        # manifest and checkpoints record it.
+        import json
+
+        clusters = _clusters(1)
+        root = tmp_path / "root"
+        cfg = FleetConfig(
+            n_workers=1, svd_backend="exact", checkpoint_root=str(root), **CFG
+        )
+        report = FleetScheduler(clusters, cfg).run()
+        session = TraceSession(
+            clusters[0].trace, nbytes=cfg.nbytes, time_step=cfg.window,
+            threshold=cfg.threshold, svd_backend="exact",
+        )
+        for _ in range(cfg.operations):
+            session.broadcast(root=0)
+        assert np.array_equal(
+            report.clusters["c0"].constant_row, session.decomposition.constant.row
+        )
+        manifest = json.loads((root / "fleet.json").read_text())
+        assert manifest["svd_backend"] == "exact"
+        ckpt = CheckpointStore(str(root / "c0")).load_latest()
+        assert ckpt.meta["config"]["svd_backend"] == "exact"
+
     def test_masked_cluster_round_trips(self):
         clusters = [ClusterSpec(name="m", trace=_trace(8, mask=True))]
         cfg = FleetConfig(n_workers=1, **CFG)
