@@ -21,6 +21,12 @@ from .trees import CommTree
 
 __all__ = ["fnf_tree"]
 
+# Relative gap below which two link weights count as a tie. Weights from
+# RPCA solves carry round-off of order 1e-10 relative (the ``exact`` and
+# ``gram`` SVT paths differ by that much), far below any real link
+# difference, so a tie the network cannot decide is never broken by noise.
+_TIE_RTOL = 1e-9
+
 
 def fnf_tree(weights: np.ndarray, root: int = 0) -> CommTree:
     """Build the FNF communication tree for *weights* rooted at *root*.
@@ -41,8 +47,13 @@ def fnf_tree(weights: np.ndarray, root: int = 0) -> CommTree:
 
     Notes
     -----
-    The selection scan is vectorized: for each sender the argmin over the
-    remaining pool is one masked ``argmin`` over a weight row rather than a
+    A sender's candidates within 1e-9 (relative) of its best link are
+    tied, and the lowest index among them wins — the same rule an exact
+    tie follows — so weight matrices that differ only by solver round-off
+    build the same tree.
+
+    The selection scan is vectorized: for each sender the pick from the
+    remaining pool is one masked scan over a weight row rather than a
     Python loop over candidates, so the construction is O(N² ) numpy work
     for the O(N log N) picks.
     """
@@ -67,7 +78,8 @@ def fnf_tree(weights: np.ndarray, root: int = 0) -> CommTree:
             if remaining == 0:
                 break
             row = np.where(in_pool, w[s], np.inf)
-            r = int(np.argmin(row))
+            best = row.min()
+            r = int(np.argmax(row <= best + _TIE_RTOL * abs(best)))  # first tie
             parent[r] = s
             children[s].append(r)
             in_pool[r] = False

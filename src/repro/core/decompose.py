@@ -40,16 +40,17 @@ __all__ = [
 def svd_backend_kwargs(spec: SolverSpec, backend: str) -> dict[str, str]:
     """The ``svd_backend`` keyword to pass *spec*'s solver, if any.
 
-    A solver that declares ``svd_backend`` always gets the chosen name,
-    ``"exact"`` included, so asking for the oracle never silently runs the
-    solver's own default. Other solvers (``pca``, ``row_constant``,
-    user-registered ones that do not name it) get nothing for ``"exact"``
-    or ``"auto"`` — neither asks them for anything — so default configs
-    keep working with them; an explicit partial backend
+    A solver that declares ``svd_backend`` — by name or through
+    ``**kwargs`` — always gets the chosen name, ``"exact"`` included, so
+    asking for the oracle never silently runs the solver's own default.
+    Solvers with an explicit signature that omits it (``pca``,
+    ``row_constant``, such user-registered ones) get nothing for
+    ``"exact"`` or ``"auto"`` — neither asks them for anything — so default
+    configs keep working with them; an explicit partial backend
     (``"gram"``/``"randomized"``) is rejected for them.
     """
     validate_backend(backend)
-    if "svd_backend" in spec.accepted_kwargs:
+    if spec.accepts_any_kwargs or "svd_backend" in spec.accepted_kwargs:
         return {"svd_backend": backend}
     if backend in ("exact", "auto"):
         return {}

@@ -200,8 +200,9 @@ class DecompositionEngine:
         :class:`~repro.core.kernels.RankPredictor` per solved shape and
         threads it through successive solves, so warm re-calibrations skip
         the rank ramp-up. Forwarded by name to every solver that takes
-        ``svd_backend`` (APG/IALM); other solvers accept only ``"exact"``
-        and ``"auto"`` and never receive it (see
+        ``svd_backend`` (APG/IALM, or any solver with ``**kwargs``); other
+        solvers accept only ``"exact"`` and ``"auto"`` and never receive it
+        (see
         :func:`~repro.core.decompose.svd_backend_kwargs`).
     elementwise_backend:
         Elementwise kernel for the solver's step recurrences and the

@@ -112,6 +112,48 @@ class TestFNFSemantics:
         assert t.children[2] == (3,)
 
 
+class TestFNFTies:
+    def test_round_off_ties_resolve_to_lowest_index(self):
+        w = wmatrix(np.full((4, 4), 5.0))
+        w[0, 1] = 1.0
+        w[0, 2] = 1.0 * (1 - 1e-12)  # round-off below a real link difference
+        assert fnf_tree(w, 0).children[0][0] == 1
+        w[0, 2] = 1.0 * (1 - 1e-6)  # a real difference still wins
+        assert fnf_tree(w, 0).children[0][0] == 2
+
+    def test_exact_and_auto_solves_build_the_same_tree(self):
+        """Two links measured identically tie in ``P_D``. The exact SVT loop
+        leaves them ~1e-15 apart in one order, the gram path in another;
+        both must still give the same FNF tree."""
+        from repro.core.decompose import decompose
+        from repro.core.matrices import TPMatrix
+
+        n, m = 8, 10
+        rng = np.random.default_rng(3)
+        base = rng.uniform(1.0, 3.0, size=(n, n))
+        base[0, 1] = base[0, 2] = 0.5  # the root's best links, tied
+        rows = []
+        for _ in range(m):
+            snap = base * (1 + 0.02 * rng.standard_normal((n, n)))
+            snap[0, 2] = snap[0, 1]
+            rows.append(snap.reshape(-1))
+        tp = TPMatrix(
+            data=np.stack(rows), n_machines=n, timestamps=np.arange(m, dtype=float)
+        )
+        w = {
+            b: decompose(tp, svd_backend=b).performance_matrix().weights
+            for b in ("exact", "auto")
+        }
+        # The round-off orders the tied pair differently on the two paths,
+        # so a plain argmin would pick different children.
+        assert w["exact"][0, 2] < w["exact"][0, 1]
+        assert w["auto"][0, 2] >= w["auto"][0, 1]
+        trees = {b: fnf_tree(wb, 0) for b, wb in w.items()}
+        np.testing.assert_array_equal(trees["exact"].parent, trees["auto"].parent)
+        assert trees["exact"].children == trees["auto"].children
+        assert trees["exact"].children[0][0] == 1
+
+
 class TestFNFValidation:
     def test_single_node(self):
         t = fnf_tree(np.zeros((1, 1)), 0)

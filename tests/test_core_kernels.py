@@ -470,20 +470,50 @@ def test_non_svt_solver_runs_under_exact_and_auto(solver, backend):
 def test_user_solver_without_the_kwarg_never_receives_it(monkeypatch):
     seen = []
 
-    def fake(a, **kwargs):
-        seen.append("svd_backend" in kwargs)
+    def fake(a, *, tol=1e-7):  # an explicit signature without svd_backend
+        seen.append(tol)
         return row_constant_decomposition(a)
 
     monkeypatch.setattr(solvers, "_SOLVERS", dict(solvers._SOLVERS))
-    solvers.register_solver("kwargs_only", fake, exact_row_constant=True)
+    solvers.register_solver("no_backend", fake, exact_row_constant=True)
     tp = _tp()
-    decompose(tp, solver="kwargs_only")
+    decompose(tp, solver="no_backend")
     for backend in ("exact", "auto"):
-        decompose(tp, solver="kwargs_only", svd_backend=backend)
-    DecompositionEngine(_FakeSource(), nbytes=8.0, solver="kwargs_only").calibrate(10)
-    assert seen == [False] * 4
+        decompose(tp, solver="no_backend", svd_backend=backend)
+    DecompositionEngine(_FakeSource(), nbytes=8.0, solver="no_backend").calibrate(10)
+    assert len(seen) == 4  # strict kwarg validation would have raised
     with pytest.raises(ValidationError, match="does not take an SVD backend"):
-        decompose(tp, solver="kwargs_only", svd_backend="gram")
+        decompose(tp, solver="no_backend", svd_backend="gram")
+
+
+def test_kwargs_wrapper_asked_for_exact_runs_the_exact_loop(monkeypatch):
+    """A ``**kwargs`` solver counts as declaring ``svd_backend``: it gets the
+    chosen name, so a wrapper around APG asked for ``exact`` runs the exact
+    loop rather than falling through to the ``auto`` default."""
+    seen = []
+
+    def wrapper(a, **kwargs):
+        seen.append(kwargs.get("svd_backend"))
+        return rpca_apg(a, **kwargs)
+
+    monkeypatch.setattr(solvers, "_SOLVERS", dict(solvers._SOLVERS))
+    solvers.register_solver("apg_wrapper", wrapper)
+    tp = _tp()
+    ref = rpca_apg(tp.data, svd_backend="exact")
+    dec = decompose(tp, solver="apg_wrapper", svd_backend="exact")
+    np.testing.assert_array_equal(dec.solver_result.low_rank, ref.low_rank)
+    np.testing.assert_array_equal(dec.solver_result.sparse, ref.sparse)
+    engine = DecompositionEngine(
+        _FakeSource(), nbytes=8.0, solver="apg_wrapper", svd_backend="exact"
+    )
+    engine.calibrate(10)
+    decompose(tp, solver="apg_wrapper", svd_backend="gram")
+    assert seen == ["exact", "exact", "gram"]
+    with pytest.raises(ValidationError, match="requires a non-exact SVD backend"):
+        decompose(
+            tp, solver="apg_wrapper", svd_backend="exact",
+            elementwise_backend="fused",
+        )
 
 
 class _FakeSource:

@@ -227,27 +227,6 @@ class TestResumeParity:
         assert reference.stats.recalibrations > session.stats.recalibrations
         _assert_parity(resumed, reference)
 
-    def test_capsule_without_svd_backend_continues_on_exact_loop(
-        self, small_trace
-    ):
-        from repro.runtime.session import SessionCapsule
-
-        kwargs = dict(time_step=8, threshold=0.05, svd_backend="exact")
-        reference = TraceSession(small_trace, **kwargs)
-        _drive(reference, 20)
-
-        session = TraceSession(small_trace, **kwargs)
-        _drive(session, 12)
-        capsule = session.capture_capsule()
-        meta = dict(capsule.meta, config=dict(capsule.meta["config"]))
-        del meta["config"]["svd_backend"]
-        resumed = TraceSession.from_capsule(
-            small_trace, SessionCapsule(arrays=capsule.arrays, meta=meta)
-        )
-        assert resumed.svd_backend == "exact"
-        _drive(resumed, 8)
-        _assert_parity(resumed, reference)
-
     def test_legacy_bare_regime_config_checkpoint_still_resumes(
         self, small_trace, persist_cfg
     ):
